@@ -453,14 +453,12 @@ pub struct SampleArgs {
     /// Observability flags (`--trace`, `--trace-format`, `--profile`,
     /// `--progress`).
     pub trace: TraceOpts,
-    /// `--store DIR`: run through the content-addressed result store.
-    pub store: Option<String>,
 }
 
 /// The `musa sample` usage line.
 pub const SAMPLE_USAGE: &str = "expected <name> [fraction] [--jobs N] [--seed N] \
 [--paper] [--fast] [--json] [--engine scalar|lanes] [--fault-reduce on|off] \
-[--screen static|off] [--opt full|off] [--store DIR] [--trace FILE] \
+[--screen static|off] [--opt full|off] [--trace FILE] \
 [--trace-format json|chrome] [--profile] [--progress]";
 
 impl SampleArgs {
@@ -472,22 +470,7 @@ impl SampleArgs {
     /// Returns the legacy `musa sample` error strings: usage on a
     /// missing name or extra positionals, per-flag messages otherwise.
     pub fn parse(args: &[String]) -> Result<Self, String> {
-        // `--store DIR` is specific to `musa sample`, so it is peeled
-        // off before the shared token parser sees the argument list.
-        let mut store = None;
-        let mut rest = Vec::with_capacity(args.len());
-        let mut iter = args.iter();
-        while let Some(arg) = iter.next() {
-            if arg == "--store" {
-                let Some(dir) = iter.next() else {
-                    return Err("--store expects a directory".to_string());
-                };
-                store = Some(dir.clone());
-            } else {
-                rest.push(arg.clone());
-            }
-        }
-        let parsed = parse_tokens(&rest, 2, false).map_err(|e| match e {
+        let parsed = parse_tokens(args, 2, false).map_err(|e| match e {
             CliError::SeedValue => "--seed expects an integer".to_string(),
             CliError::JobsValue => "--jobs expects a thread count".to_string(),
             CliError::EngineMissing => "--engine expects scalar|lanes".to_string(),
@@ -509,13 +492,6 @@ impl SampleArgs {
                 .map_err(|_| "bad fraction (expected 0..=1)".to_string())?,
             None => 0.10,
         };
-        if store.is_some() && parsed.trace.wants_trace() {
-            return Err(
-                "--store cannot be combined with --trace/--profile (a store hit \
-replays a cached result and records no trace)"
-                    .to_string(),
-            );
-        }
         Ok(Self {
             name: name.clone(),
             fraction,
@@ -529,7 +505,6 @@ replays a cached result and records no trace)"
             fast: parsed.fast,
             json: parsed.json,
             trace: parsed.trace,
-            store,
         })
     }
 
@@ -1306,23 +1281,6 @@ mod tests {
         assert!(SampleArgs::parse(&strings(&["c17", "--wat"]))
             .unwrap_err()
             .contains("unknown flag `--wat`"));
-    }
-
-    #[test]
-    fn sample_store_flag_parses_and_excludes_tracing() {
-        let args = SampleArgs::parse(&strings(&["c17", "--store", ".musa-store"])).unwrap();
-        assert_eq!(args.store.as_deref(), Some(".musa-store"));
-        assert!(SampleArgs::parse(&strings(&["c17"])).unwrap().store.is_none());
-        assert!(SampleArgs::parse(&strings(&["c17", "--store"]))
-            .unwrap_err()
-            .contains("--store expects a directory"));
-        for tracing in [&["--trace", "t.json"][..], &["--profile"][..]] {
-            let mut tokens = vec!["c17", "--store", "s"];
-            tokens.extend_from_slice(tracing);
-            assert!(SampleArgs::parse(&strings(&tokens))
-                .unwrap_err()
-                .contains("--store cannot be combined"));
-        }
     }
 
     #[test]

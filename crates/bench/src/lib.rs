@@ -17,22 +17,18 @@
 //! routes through [`musa_core::Campaign`], and the default stdout is
 //! byte-identical to the pre-redesign binaries (pinned by the diff
 //! tests in `tests/cli_diff.rs`). `--json` emits the typed
-//! [`musa_core::Report`] instead. Criterion micro-benchmarks live
-//! under `benches/`.
+//! [`musa_core::Report`] instead. The same layer parses the root
+//! binary's `musa sample` and `musa bench` subcommands. Criterion
+//! micro-benchmarks live under `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cli;
-pub mod service;
 
 pub use cli::{
     drive, run_trajectory, BenchCommand, Bin, CliOptions, SampleArgs, TrajectoryArgs,
     BENCH_USAGE,
-};
-pub use service::{
-    run_campaign, run_client, run_serve, run_worker, CampaignArgs, ClientArgs, ServeArgs,
-    ServiceError, CAMPAIGN_USAGE, CLIENT_USAGE, SERVE_USAGE,
 };
 pub use musa_core::paper;
 

@@ -455,21 +455,6 @@ impl Campaign {
         Ok(CampaignPlan { benches, config, preset, task })
     }
 
-    /// Validates the builder and returns the fully-resolved plan — the
-    /// benchmark list, effective [`ExperimentConfig`], preset and task
-    /// that [`Campaign::run`] would execute. This is the canonical
-    /// input for anything that must agree with a run without running
-    /// it: the content-addressed result store derives its campaign key
-    /// from the plan, and the multi-process sharding mode re-derives
-    /// the per-repetition seed schedule from `plan().config`.
-    ///
-    /// # Errors
-    ///
-    /// The same validation errors as [`Campaign::validate`].
-    pub fn plan(&self) -> Result<CampaignPlan, CampaignError> {
-        self.resolve()
-    }
-
     /// Validates once, runs the task, and returns the typed report.
     ///
     /// # Errors
@@ -515,17 +500,17 @@ impl Campaign {
 }
 
 /// A validated campaign, fully resolved: what [`Campaign::run`] will
-/// actually execute. Obtained via [`Campaign::plan`].
+/// actually execute.
 #[derive(Debug, Clone)]
-pub struct CampaignPlan {
+struct CampaignPlan {
     /// Benchmarks, resolved from their names, in run order.
-    pub benches: Vec<Benchmark>,
+    benches: Vec<Benchmark>,
     /// The effective configuration (preset + builder overrides applied).
-    pub config: ExperimentConfig,
+    config: ExperimentConfig,
     /// Which preset the configuration came from.
-    pub preset: Preset,
+    preset: Preset,
     /// The task to run, with its parameters.
-    pub task: Task,
+    task: Task,
 }
 
 impl CampaignPlan {
@@ -1151,9 +1136,8 @@ impl Report {
 
 /// The `musa.campaign.v1` JSON encoding of one [`SamplingOutcome`] —
 /// the exact value [`Report::to_json`] embeds for sampling-family
-/// tasks. Public so out-of-process shards (`musa campaign --workers`)
-/// and the result-store decoder round-trip outcomes byte-identically.
-pub fn outcome_json(o: &SamplingOutcome) -> Json {
+/// tasks.
+fn outcome_json(o: &SamplingOutcome) -> Json {
     Json::Obj(vec![
         ("strategy", Json::str(o.strategy)),
         ("population", Json::count(o.population)),
@@ -1170,7 +1154,7 @@ pub fn outcome_json(o: &SamplingOutcome) -> Json {
 }
 
 /// The `musa.campaign.v1` JSON encoding of a [`MutationScore`].
-pub fn score_json(s: &MutationScore) -> Json {
+fn score_json(s: &MutationScore) -> Json {
     Json::Obj(vec![
         ("generated", Json::count(s.generated)),
         ("killed", Json::count(s.killed)),
@@ -1179,7 +1163,7 @@ pub fn score_json(s: &MutationScore) -> Json {
 }
 
 /// The `musa.campaign.v1` JSON encoding of an [`Nlfce`] metrics block.
-pub fn metrics_json(m: &Nlfce) -> Json {
+fn metrics_json(m: &Nlfce) -> Json {
     Json::Obj(vec![
         ("delta_fc_pct", Json::Float(m.delta_fc_pct)),
         ("delta_l_pct", Json::Float(m.delta_l_pct)),
@@ -1191,7 +1175,7 @@ pub fn metrics_json(m: &Nlfce) -> Json {
 
 /// The `musa.campaign.v1` JSON encoding of a coverage curve (an array
 /// of `[length, coverage]` pairs).
-pub fn curve_json(samples: &[(usize, f64)]) -> Json {
+fn curve_json(samples: &[(usize, f64)]) -> Json {
     Json::Arr(
         samples
             .iter()

@@ -69,9 +69,8 @@ impl FromStr for Engine {
 /// one-op-at-a-time, exactly like the pre-optimizer engine. The two
 /// settings are **bit-identical** for every population, sequence and
 /// job count — every pass is semantics-preserving per lane — so the
-/// knob exists for differential testing and benchmarking, and `opt`
-/// stays *out* of the `musa.key.v1` cache key. The scalar engine
-/// ignores it.
+/// knob exists for differential testing and benchmarking. The scalar
+/// engine ignores it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub enum OptLevel {
     /// Optimize tapes and fuse hot instruction pairs. The default.

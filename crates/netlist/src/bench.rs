@@ -107,7 +107,10 @@ pub fn parse_bench(text: &str, name: &str) -> Result<Netlist, BenchError> {
             let out = code[..eq].trim().to_string();
             let rhs = code[eq + 1..].trim();
             let open = rhs.find('(').ok_or_else(|| syntax("expected FUNC(args)"))?;
-            let close = rhs.rfind(')').ok_or_else(|| syntax("missing `)`"))?;
+            let close = rhs
+                .rfind(')')
+                .filter(|&c| c > open)
+                .ok_or_else(|| syntax("missing `)`"))?;
             let func = rhs[..open].trim().to_ascii_uppercase();
             let args: Vec<String> = rhs[open + 1..close]
                 .split(',')
@@ -135,6 +138,12 @@ pub fn parse_bench(text: &str, name: &str) -> Result<Netlist, BenchError> {
     }
     // First pass: declare all gate/flop outputs so forward references work.
     for gate in &gates {
+        if ids.contains_key(&gate.out) {
+            return Err(BenchError::Syntax {
+                line: gate.line,
+                message: format!("net `{}` is defined twice", gate.out),
+            });
+        }
         let id = match gate.func.as_str() {
             "DFF" | "DFF0" => nl.add_dff(gate.out.clone(), false),
             "DFF1" => nl.add_dff(gate.out.clone(), true),
@@ -418,6 +427,26 @@ y = AND(b, one)
         assert!(parse_bench("wibble\n", "x").is_err());
         assert!(parse_bench("y = AND(a", "x").is_err());
         assert!(parse_bench("INPUT(a)\nq = DFF(a, a)\nOUTPUT(q)\n", "x").is_err());
+        // `)` before `(`, and a net driven twice: line-numbered syntax
+        // errors, not panics.
+        assert_eq!(
+            parse_bench("INPUT(a)\ny = )AND(a\n", "x").unwrap_err(),
+            BenchError::Syntax {
+                line: 2,
+                message: "missing `)`".to_string()
+            }
+        );
+        assert_eq!(
+            parse_bench(
+                "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\ny = OR(a, b)\n",
+                "x"
+            )
+            .unwrap_err(),
+            BenchError::Syntax {
+                line: 5,
+                message: "net `y` is defined twice".to_string()
+            }
+        );
     }
 
     #[test]

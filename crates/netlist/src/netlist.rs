@@ -146,10 +146,14 @@ pub enum NetlistError {
         /// The offending name.
         name: String,
     },
-    /// A gate has too few inputs for its kind.
+    /// A gate has the wrong number of inputs for its kind.
     BadArity {
         /// The gate's output net name.
         name: String,
+        /// The gate's kind.
+        kind: GateKind,
+        /// How many inputs it was given.
+        got: usize,
     },
     /// An output refers to an unknown net.
     UnknownOutput {
@@ -169,7 +173,16 @@ impl fmt::Display for NetlistError {
                 write!(f, "combinational loop through `{on}`")
             }
             NetlistError::DuplicateName { name } => write!(f, "duplicate net name `{name}`"),
-            NetlistError::BadArity { name } => write!(f, "too few gate inputs at `{name}`"),
+            NetlistError::BadArity { name, kind, got } => {
+                let takes = match kind {
+                    GateKind::Not | GateKind::Buf => "1",
+                    _ => "at least 2",
+                };
+                write!(
+                    f,
+                    "wrong number of gate inputs at `{name}`: {kind} takes {takes}, got {got}"
+                )
+            }
             NetlistError::UnknownOutput { name } => write!(f, "unknown output net `{name}`"),
         }
     }
@@ -310,15 +323,15 @@ impl Netlist {
         for (i, node) in self.nodes.iter().enumerate() {
             match node {
                 Node::Gate { kind, inputs } => {
-                    let min = match kind {
-                        GateKind::Not | GateKind::Buf => 1,
-                        _ => 2,
+                    let arity_ok = match kind {
+                        GateKind::Not | GateKind::Buf => inputs.len() == 1,
+                        _ => inputs.len() >= 2,
                     };
-                    if inputs.len() < min
-                        || (matches!(kind, GateKind::Not | GateKind::Buf) && inputs.len() != 1)
-                    {
+                    if !arity_ok {
                         return Err(NetlistError::BadArity {
                             name: self.names[i].clone(),
+                            kind: *kind,
+                            got: inputs.len(),
                         });
                     }
                     if inputs.iter().any(|x| x.0 >= n) {
@@ -651,7 +664,10 @@ mod tests {
         let a = nl.add_input("a");
         let b = nl.add_input("b");
         nl.add_gate("g", GateKind::Not, vec![a, b]);
-        assert!(matches!(nl.freeze(), Err(NetlistError::BadArity { .. })));
+        assert_eq!(
+            nl.freeze().unwrap_err().to_string(),
+            "wrong number of gate inputs at `g`: NOT takes 1, got 2"
+        );
     }
 
     #[test]

@@ -26,9 +26,6 @@
 //!   test-oriented sampling experiments (Tables 1 and 2) and the
 //!   [`Campaign`](musa_core::Campaign) front door with typed,
 //!   JSON-serializable reports;
-//! * [`store`] — the content-addressed campaign result store, the
-//!   multi-process sharding driver (`musa campaign --workers`) and the
-//!   TCP campaign service (`musa serve` / `musa client`);
 //! * [`bench`](mod@bench) — the experiment binaries plus the shared
 //!   [`cli`](musa_bench::cli) argument layer they and `musa sample`
 //!   parse through.
@@ -58,7 +55,6 @@ pub use musa_metrics as metrics;
 pub use musa_mutation as mutation;
 pub use musa_netlist as netlist;
 pub use musa_prng as prng;
-pub use musa_store as store;
 pub use musa_synth as synth;
 pub use musa_testgen as testgen;
 pub use musa_trace as trace;

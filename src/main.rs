@@ -14,13 +14,7 @@
 //!             [--write] [--seed N]      a committed BENCH_<n>.json
 //! musa sample <name> [FRACTION]         run a sampling experiment
 //!             [--jobs N] [--seed N] [--paper] [--fast] [--json]
-//!             [--engine scalar|lanes] [--store DIR]
-//! musa campaign <request.json|->        run a musa.request.v1 campaign
-//!             [--workers N] [--store DIR] [--json]
-//! musa serve  --addr HOST:PORT          TCP campaign service over the
-//!             [--store DIR] [--once]    result store
-//! musa client --addr HOST:PORT          send one request to `musa serve`
-//!             <request.json|->
+//!             [--engine scalar|lanes]
 //! musa lint   <name>|--all|<file.mhdl>  run the static lint catalog;
 //!             [--json]                  exit 1 when findings exist
 //! musa list                             list bundled benchmarks
@@ -35,19 +29,9 @@
 //! job count and both engines, so the two knobs compose freely.
 //! `--json` emits the typed campaign report (`musa.campaign.v1`)
 //! instead of text.
-//!
-//! `campaign`, `serve` and `client` sit on `musa_store`: campaigns are
-//! content-addressed by their resolved plan, cached results replay
-//! byte-identically, `--workers N` shards the sampling grid across
-//! spawned worker processes (the hidden `__worker` subcommand), and the
-//! serve/client pair speaks a length-prefixed `MUSA/1` TCP protocol.
 
 use musa::bench::cli::{
     emit_observability, print_report, run_trajectory, BenchCommand, SampleArgs, BENCH_USAGE,
-};
-use musa::bench::service::{
-    run_campaign, run_client, run_serve, run_worker, CampaignArgs, ClientArgs, ServeArgs,
-    ServiceError, CAMPAIGN_USAGE, CLIENT_USAGE, SERVE_USAGE,
 };
 use musa::circuits::{Benchmark, Circuit};
 use musa::core::{
@@ -82,21 +66,9 @@ usage: musa <command> ...
   sample   <name> [FRACTION]         run a sampling experiment
            [--jobs N] [--seed N] [--paper] [--fast] [--json]
            [--engine scalar|lanes] [--fault-reduce on|off]
-           [--screen static|off] [--opt full|off] [--store DIR]
+           [--screen static|off] [--opt full|off]
            [--trace FILE] [--trace-format json|chrome] [--profile]
            [--progress]
-  campaign <request.json|->          run a musa.request.v1 campaign
-           [--workers N] [--store DIR] [--json]
-                                     --store caches results in a
-                                     content-addressed store (hits replay
-                                     byte-identically); --workers N shards
-                                     the sampling grid across N processes
-  serve    --addr HOST:PORT          TCP campaign service over the result
-           [--store DIR] [--once]    store (MUSA/1 framing; port 0 picks a
-                                     free port and prints it; --once serves
-                                     one connection, then exits)
-  client   --addr HOST:PORT          send one request to a `musa serve`,
-           <request.json|->          print the musa.campaign.v1 report
   lint     <name>|--all|<file.mhdl>  run the static lint catalog over a
            [--json]                  benchmark (or every bundled one, or
                                      an .mhdl file); compiler-style text
@@ -163,22 +135,6 @@ fn dispatch(args: &[String]) -> ExitCode {
         Some("scoap") => cmd_scoap(&args[1..]),
         Some("bench") => return cmd_bench(&args[1..]),
         Some("sample") => cmd_sample(&args[1..]),
-        Some("campaign") => {
-            return cmd_service(&args[1..], CAMPAIGN_USAGE, |rest| {
-                run_campaign(&CampaignArgs::parse(rest).map_err(ServiceError::Usage)?)
-            })
-        }
-        Some("serve") => {
-            return cmd_service(&args[1..], SERVE_USAGE, |rest| {
-                run_serve(&ServeArgs::parse(rest).map_err(ServiceError::Usage)?)
-            })
-        }
-        Some("client") => {
-            return cmd_service(&args[1..], CLIENT_USAGE, |rest| {
-                run_client(&ClientArgs::parse(rest).map_err(ServiceError::Usage)?)
-            })
-        }
-        Some("__worker") => return cmd_service(&args[1..], "", run_worker),
         Some("lint") => return cmd_lint(&args[1..]),
         Some("list") => cmd_list(),
         Some("help") | Some("--help") | Some("-h") => {
@@ -187,7 +143,7 @@ fn dispatch(args: &[String]) -> ExitCode {
         }
         _ => {
             eprintln!(
-                "usage: musa <info|synth|mutants|faultsim|atpg|scoap|bench|sample|campaign|serve|client|lint|list|help> ..."
+                "usage: musa <info|synth|mutants|faultsim|atpg|scoap|bench|sample|lint|list|help> ..."
             );
             eprintln!("run `musa help` for per-command arguments");
             return ExitCode::from(2);
@@ -472,46 +428,9 @@ fn exit_by_findings(findings: usize) -> ExitCode {
     }
 }
 
-/// Shared driver for the store/serving subcommands: run, map
-/// [`ServiceError`] onto the exit-code contract (2 usage, 1 runtime),
-/// and echo the usage line after a usage failure.
-fn cmd_service(
-    args: &[String],
-    usage: &str,
-    run: impl FnOnce(&[String]) -> Result<(), ServiceError>,
-) -> ExitCode {
-    match run(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(error) => {
-            eprintln!("error: {}", error.message());
-            if matches!(error, ServiceError::Usage(_))
-                && !usage.is_empty()
-                && !error.message().contains("usage:")
-            {
-                eprintln!("{usage}");
-            }
-            ExitCode::from(error.code())
-        }
-    }
-}
-
 fn cmd_sample(args: &[String]) -> Result<(), String> {
     let sample = SampleArgs::parse(args)?;
     musa::trace::set_progress(sample.trace.progress);
-    if let Some(dir) = &sample.store {
-        use musa::store::RunCached;
-        let store = musa::store::Store::open(dir).map_err(|e| format!("--store {dir}: {e}"))?;
-        let run = sample
-            .campaign()
-            .run_cached(&store)
-            .map_err(|e| e.to_string())?;
-        match &run.key {
-            Some(key) => eprintln!("store: {} {key}", run.outcome.label()),
-            None => eprintln!("store: {}", run.outcome.label()),
-        }
-        print_report(&run.report, sample.json);
-        return Ok(());
-    }
     let report = sample.campaign().run().map_err(|e| e.to_string())?;
     print_report(&report, sample.json);
     emit_observability(&report, &sample.trace, sample.json)

@@ -33,9 +33,15 @@ fn no_subcommand_exits_2_with_usage() {
 
 #[test]
 fn unknown_subcommand_exits_2() {
-    let out = musa(&["frobnicate"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage: musa"));
+    // The removed result-store/serving subcommands are unknown too.
+    for command in ["frobnicate", "campaign", "serve", "client", "__worker"] {
+        let out = musa(&[command]);
+        assert_eq!(out.status.code(), Some(2), "{command}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("usage: musa"),
+            "{command}"
+        );
+    }
 }
 
 #[test]
@@ -274,108 +280,9 @@ fn help_subcommand_lists_every_command_including_bench_trajectory() {
         "--quick", "--baseline", "--filter", "--write",
         // ...and the analysis knobs.
         "--screen static|off", "musa.lint.v1",
-        // ...and the store/serving layer.
-        "campaign", "serve", "client", "--workers", "--store", "--addr",
-        "musa.request.v1", "--once",
     ] {
         assert!(stdout.contains(fragment), "help lacks {fragment}: {stdout}");
     }
-}
-
-// ---------------------------------------------------------------------
-// `musa campaign` / `serve` / `client` / `__worker` argument contract
-// ---------------------------------------------------------------------
-
-#[test]
-fn campaign_without_request_exits_2_with_usage() {
-    let out = musa(&["campaign"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage: musa campaign"));
-}
-
-#[test]
-fn campaign_rejects_bad_flags_and_missing_files_with_exit_2() {
-    let out = musa(&["campaign", "req.json", "--workers", "x"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--workers expects"));
-
-    let out = musa(&["campaign", "/nonexistent/req.json"]);
-    assert_eq!(out.status.code(), Some(2), "unreadable request is a pre-computation decision");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("/nonexistent/req.json"));
-
-    let out = musa(&["campaign", "req.json", "--bogus"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unexpected argument `--bogus`"));
-}
-
-#[test]
-fn campaign_rejects_malformed_requests_with_exit_2() {
-    let dir = std::env::temp_dir().join(format!("musa-cli-campaign-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let bad = dir.join("bad.json");
-    std::fs::write(&bad, "{\"schema\": \"musa.request.v2\"}").unwrap();
-    let out = musa(&["campaign", bad.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("schema"),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn campaign_rejects_workers_on_non_sampling_tasks_with_exit_2() {
-    let dir = std::env::temp_dir().join(format!("musa-cli-workers-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let req = dir.join("lint.json");
-    std::fs::write(
-        &req,
-        "{\"schema\": \"musa.request.v1\", \"task\": \"lint\", \"benches\": [\"c17\"]}",
-    )
-    .unwrap();
-    let out = musa(&["campaign", req.to_str().unwrap(), "--workers", "2"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("sampling"),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn serve_and_client_arg_errors_exit_2() {
-    let out = musa(&["serve"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage: musa serve"));
-
-    let out = musa(&["serve", "--addr"]);
-    assert_eq!(out.status.code(), Some(2));
-
-    let out = musa(&["client", "req.json"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage: musa client"));
-
-    let out = musa(&["client", "--addr", "127.0.0.1:1"]);
-    assert_eq!(out.status.code(), Some(2), "missing request document");
-}
-
-#[test]
-fn worker_arg_errors_exit_2() {
-    let out = musa(&["__worker"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--cells"));
-
-    let out = musa(&["__worker", "--cells"]);
-    assert_eq!(out.status.code(), Some(2));
-}
-
-#[test]
-fn sample_store_conflicts_with_tracing() {
-    let out = musa(&["sample", "c17", "--store", "s", "--profile"]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--store cannot be combined"));
 }
 
 #[test]
