@@ -262,6 +262,22 @@ mod tests {
     }
 
     #[test]
+    fn two_loads_give_identical_netlists() {
+        // Net numbering must not depend on hash-map iteration order:
+        // every net keeps its node and name from one load to the next.
+        for bench in Benchmark::all() {
+            let first = bench.load().unwrap().netlist;
+            let second = bench.load().unwrap().netlist;
+            assert_eq!(first.net_count(), second.net_count(), "{bench}");
+            for net in first.nets() {
+                assert_eq!(first.node(net), second.node(net), "{bench} {net}");
+                assert_eq!(first.net_name(net), second.net_name(net), "{bench} {net}");
+            }
+            assert_eq!(first.outputs(), second.outputs(), "{bench}");
+        }
+    }
+
+    #[test]
     fn paper_set_is_subset_of_all() {
         for bench in Benchmark::paper_set() {
             assert!(Benchmark::all().contains(&bench));

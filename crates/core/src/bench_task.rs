@@ -1527,12 +1527,19 @@ mod tests {
         assert!(on.faults_simulated.unwrap() <= on.faults_total.unwrap());
         assert_eq!(report.meta.samples, 3);
         assert!(report.cells.iter().all(|c| c.wall.samples == 3));
-        // A fresh identical run is invariant-identical: self-compare
-        // under the quick policy passes.
+        // A fresh identical run is invariant-identical. Only the
+        // invariant findings are checked: the quick policy's engine and
+        // optimizer ratios are wall-time quotients that a loaded machine
+        // can halve between two runs (the synthetic
+        // `*_ratio_regression_gates_in_quick_mode` tests cover them).
         let again =
             run_bench(&[Benchmark::C17], &BenchOptions { quick: true, seed: 7 })
                 .unwrap();
-        assert_eq!(compare(&report, &again, &ComparePolicy::quick()), vec![]);
+        let drift: Vec<Regression> = compare(&report, &again, &ComparePolicy::quick())
+            .into_iter()
+            .filter(|r| matches!(r, Regression::Invariant { .. } | Regression::MissingCell { .. }))
+            .collect();
+        assert_eq!(drift, vec![]);
     }
 
     #[test]

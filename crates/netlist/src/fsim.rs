@@ -1,21 +1,41 @@
 //! Stuck-at fault simulation with fault dropping.
 //!
-//! Two engines behind one entry point, [`fault_simulate`]:
+//! Every call compiles the netlist once into a levelized gate [`Tape`]
+//! (flat gate kinds, dense `u32` operands, per-net fan-out lists in
+//! topological position) and resolves each fault to a dense net, pin or
+//! flop-D slot. Two engines run on that tape:
 //!
 //! * **combinational** circuits use *parallel-pattern single-fault
-//!   propagation* (PPSFP): 64 test patterns per pass, one fault at a
-//!   time, with fault dropping;
+//!   propagation* (PPSFP, Waicukauski et al., 1985): the good machine is
+//!   evaluated once per 64-pattern batch; each undetected fault is then
+//!   skipped when no live lane excites it, and otherwise only its
+//!   fan-out cone is re-evaluated, in topological order, event by event
+//!   (Ulrich & Baker, 1974) — propagation stops wherever the faulty word
+//!   equals the good one, and only the touched nets are restored;
 //! * **sequential** circuits use *parallel-fault* simulation: the good
 //!   machine in lane 0 and up to 63 faulty machines in the remaining
-//!   lanes, all driven by the same vector sequence from the reset state.
+//!   lanes, all driven by the same vector sequence from the reset state,
+//!   with the faults injected through dense per-net and per-pin 63-lane
+//!   stuck-at masks.
 //!
 //! Both record, for every fault, the index of the **first** detecting
-//! vector, from which coverage-versus-length curves are derived.
+//! vector, from which coverage-versus-length curves are derived. The
+//! [`LogicSim`]/[`Injections`] pair stays the good-machine simulator of
+//! [`good_outputs`] and the serial reference the tests check against.
+//!
+//! Each call emits two work counters to the installed trace:
+//! `fsim_gate_evals` (gate evaluations, good machine included) and
+//! `fsim_faults_excited` (PPSFP: fault × batch pairs whose site differed
+//! from the good machine in some live lane; parallel-fault: faults loaded
+//! into a lane, once per session).
 
 use crate::dominance::{FaultPlan, FaultReduction};
 use crate::fault::Fault;
 use crate::netlist::Netlist;
 use crate::sim::{Injections, LogicSim};
+use crate::tape::{word, Site, Tape};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// One primary-input assignment (one bit per PI, in `Netlist::inputs`
 /// order).
@@ -111,18 +131,14 @@ impl FaultSimResult {
 ///
 /// Panics if any pattern length differs from the circuit's input count.
 pub fn fault_simulate(nl: &Netlist, faults: &[Fault], vectors: &[Pattern]) -> FaultSimResult {
-    for v in vectors {
-        assert_eq!(v.len(), nl.inputs().len(), "pattern width mismatch");
-    }
-    let first_detected = if nl.is_combinational() {
-        ppsfp(nl, faults, vectors)
-    } else {
-        parallel_fault(nl, faults, vectors)
-    };
+    let indices: Vec<usize> = (0..faults.len()).collect();
+    let tape = Tape::compile(nl);
+    let (first_detected, total) =
+        simulate_subset_sessions(nl, &tape, faults, &indices, &[vectors]);
     FaultSimResult {
         faults: faults.to_vec(),
         first_detected,
-        vectors_applied: vectors.len(),
+        vectors_applied: total,
         faults_simulated: faults.len(),
     }
 }
@@ -142,11 +158,8 @@ pub fn fault_simulate_sessions(
 ) -> FaultSimResult {
     let indices: Vec<usize> = (0..faults.len()).collect();
     let _trace = musa_trace::span("fault_simulate");
-    let (first, total) = simulate_subset_sessions(nl, faults, &indices, sessions);
-    let mut first_detected = vec![None; faults.len()];
-    for (slot, &fi) in indices.iter().enumerate() {
-        first_detected[fi] = first[slot];
-    }
+    let tape = Tape::compile(nl);
+    let (first_detected, total) = simulate_subset_sessions(nl, &tape, faults, &indices, sessions);
     FaultSimResult {
         faults: faults.to_vec(),
         first_detected,
@@ -158,34 +171,48 @@ pub fn fault_simulate_sessions(
 /// Simulates the faults at `indices` (into `faults`) across `sessions`
 /// with fault dropping; returns their cumulative first-detection
 /// indices (parallel to `indices`) and the total vector count.
-fn simulate_subset_sessions(
+///
+/// `tape` is `nl` compiled, shared by all sessions. A combinational circuit
+/// has no state to reset, so its sessions run as one pattern stream and
+/// share 64-pattern batches across session boundaries.
+fn simulate_subset_sessions<S: AsRef<[Pattern]>>(
     nl: &Netlist,
+    tape: &Tape,
     faults: &[Fault],
     indices: &[usize],
-    sessions: &[Vec<Pattern>],
+    sessions: &[S],
 ) -> (Vec<Option<usize>>, usize) {
-    let mut first: Vec<Option<usize>> = vec![None; indices.len()];
-    let mut base = 0usize;
-    // Slots (into `indices`) still alive.
-    let mut alive: Vec<usize> = (0..indices.len()).collect();
-    for session in sessions {
-        if alive.is_empty() {
-            base += session.len();
-            continue;
-        }
-        let subset: Vec<Fault> = alive.iter().map(|&s| faults[indices[s]]).collect();
-        let result = fault_simulate(nl, &subset, session);
-        let mut still = Vec::with_capacity(alive.len());
-        for (lane, &slot) in alive.iter().enumerate() {
-            match result.first_detected[lane] {
-                Some(t) => first[slot] = Some(base + t),
-                None => still.push(slot),
-            }
-        }
-        alive = still;
-        base += session.len();
+    let width = nl.inputs().len();
+    for pattern in sessions.iter().flat_map(AsRef::as_ref) {
+        assert_eq!(pattern.len(), width, "pattern width mismatch");
     }
-    (first, base)
+    let total = sessions.iter().map(|s| s.as_ref().len()).sum();
+    let mut first: Vec<Option<usize>> = vec![None; indices.len()];
+    if indices.is_empty() {
+        return (first, total);
+    }
+    let sites: Vec<(Site, bool)> = indices
+        .iter()
+        .map(|&i| (tape.site(nl, &faults[i]), faults[i].stuck_at_one))
+        .collect();
+    let mut work = Work::default();
+    if nl.is_combinational() {
+        let stream = sessions.iter().flat_map(AsRef::as_ref);
+        Ppsfp::new(tape).run(&sites, stream, &mut first, &mut work);
+    } else {
+        let mut engine = ParallelFault::new(tape);
+        let mut base = 0usize;
+        for session in sessions {
+            let session = session.as_ref();
+            if first.iter().any(Option::is_none) {
+                engine.run(&sites, session, base, &mut first, &mut work);
+            }
+            base += session.len();
+        }
+    }
+    musa_trace::count("fsim_gate_evals", work.gate_evals);
+    musa_trace::count("fsim_faults_excited", work.faults_excited);
+    (first, total)
 }
 
 /// [`fault_simulate`] over a dominance-reduced fault list: only
@@ -240,9 +267,10 @@ pub fn fault_simulate_sessions_reduced(
 ) -> FaultSimResult {
     let faults = reduction.faults();
     let kept = reduction.simulated_indices();
+    let tape = Tape::compile(nl);
     let (kept_first, total) = {
         let _trace = musa_trace::span("fault_simulate");
-        simulate_subset_sessions(nl, faults, &kept, sessions)
+        simulate_subset_sessions(nl, &tape, faults, &kept, sessions)
     };
     let mut first_detected: Vec<Option<usize>> = vec![None; faults.len()];
     for (slot, &fi) in kept.iter().enumerate() {
@@ -293,7 +321,7 @@ pub fn fault_simulate_sessions_reduced(
     // (typically "undetected") is never inferred.
     let _trace = musa_trace::span("fault_residual");
     let (residual_first, residual_total) =
-        simulate_subset_sessions(nl, faults, &residual, sessions);
+        simulate_subset_sessions(nl, &tape, faults, &residual, sessions);
     debug_assert!(residual.is_empty() || residual_total == total);
     for (slot, &fi) in residual.iter().enumerate() {
         first_detected[fi] = residual_first[slot];
@@ -324,96 +352,316 @@ pub fn good_outputs(nl: &Netlist, vectors: &[Pattern]) -> Vec<Vec<bool>> {
         .collect()
 }
 
-/// Parallel-pattern single-fault propagation for combinational circuits.
-fn ppsfp(nl: &Netlist, faults: &[Fault], vectors: &[Pattern]) -> Vec<Option<usize>> {
-    let mut first_detected: Vec<Option<usize>> = vec![None; faults.len()];
-    let mut sim = LogicSim::new(nl);
-    let none = Injections::none();
-    let num_inputs = nl.inputs().len();
+/// Work done by one simulation call, accumulated locally and emitted as
+/// trace counters once at the end of the call.
+#[derive(Debug, Default)]
+struct Work {
+    /// Gate evaluations, good machine included.
+    gate_evals: u64,
+    /// Fault propagations started (see the module docs).
+    faults_excited: u64,
+}
 
-    for (batch_index, batch) in vectors.chunks(64).enumerate() {
-        let base = batch_index * 64;
-        // Pack the batch into per-input words: lane k = pattern base+k.
-        let mut words = vec![0u64; num_inputs];
-        for (lane, pattern) in batch.iter().enumerate() {
-            for (i, &bit) in pattern.iter().enumerate() {
-                if bit {
-                    words[i] |= 1 << lane;
-                }
-            }
-        }
-        let lane_mask = if batch.len() == 64 {
-            u64::MAX
-        } else {
-            (1u64 << batch.len()) - 1
-        };
+/// Parallel-pattern single-fault propagation for combinational circuits,
+/// restricted to each fault's live fan-out cone.
+struct Ppsfp<'t> {
+    tape: &'t Tape,
+    /// Good-machine net words of the current batch.
+    good: Vec<u64>,
+    /// Faulty-machine net words; equal to `good` between faults.
+    faulty: Vec<u64>,
+    /// Pending gate positions, smallest (earliest in topological order)
+    /// first.
+    pending: BinaryHeap<Reverse<u32>>,
+    /// Per gate position: already pending.
+    queued: Vec<bool>,
+    /// Nets whose faulty word differs from the good one.
+    touched: Vec<u32>,
+}
 
-        sim.set_inputs(&words);
-        sim.eval(&none);
-        let good = sim.outputs();
-
-        for (fi, fault) in faults.iter().enumerate() {
-            if first_detected[fi].is_some() {
-                continue; // fault dropping
-            }
-            sim.eval(&Injections::single(fault));
-            let bad = sim.outputs();
-            let mut diff = 0u64;
-            for (g, b) in good.iter().zip(&bad) {
-                diff |= g ^ b;
-            }
-            diff &= lane_mask;
-            if diff != 0 {
-                first_detected[fi] = Some(base + diff.trailing_zeros() as usize);
-            }
+impl<'t> Ppsfp<'t> {
+    fn new(tape: &'t Tape) -> Self {
+        Self {
+            tape,
+            good: vec![0; tape.net_count()],
+            faulty: vec![0; tape.net_count()],
+            pending: BinaryHeap::new(),
+            queued: vec![false; tape.gate_count()],
+            touched: Vec::new(),
         }
     }
-    first_detected
+
+    /// Runs the undetected faults of `sites` over the pattern stream,
+    /// writing first detections into `first`.
+    fn run<'p>(
+        &mut self,
+        sites: &[(Site, bool)],
+        patterns: impl Iterator<Item = &'p Pattern>,
+        first: &mut [Option<usize>],
+        work: &mut Work,
+    ) {
+        let mut patterns = patterns.peekable();
+        let mut words = vec![0u64; self.tape.inputs.len()];
+        let mut base = 0usize;
+        let mut live = first.iter().filter(|d| d.is_none()).count();
+        while live > 0 && patterns.peek().is_some() {
+            // Pack the batch into per-input words: lane k = pattern base+k.
+            words.fill(0);
+            let mut lanes = 0usize;
+            for pattern in patterns.by_ref().take(64) {
+                for (w, &bit) in words.iter_mut().zip(pattern) {
+                    *w |= u64::from(bit) << lanes;
+                }
+                lanes += 1;
+            }
+            let lane_mask = if lanes == 64 {
+                u64::MAX
+            } else {
+                (1u64 << lanes) - 1
+            };
+            self.tape.eval_good(&mut self.good, &words);
+            self.faulty.copy_from_slice(&self.good);
+            work.gate_evals += self.tape.gate_count() as u64;
+
+            for (slot, &(site, stuck)) in sites.iter().enumerate() {
+                if first[slot].is_some() {
+                    continue; // fault dropping
+                }
+                let diff = self.propagate(site, stuck, lane_mask, work);
+                if diff != 0 {
+                    first[slot] = Some(base + diff.trailing_zeros() as usize);
+                    live -= 1;
+                }
+            }
+            base += lanes;
+        }
+    }
+
+    /// Propagates one fault through its fan-out cone and returns the
+    /// lanes in which some primary output differs from the good machine.
+    fn propagate(&mut self, site: Site, stuck: bool, lane_mask: u64, work: &mut Work) -> u64 {
+        let tape = self.tape;
+        let forced = word(stuck);
+        // The first net the fault changes, and its faulty word. Lanes
+        // outside `lane_mask` are left good, so they never propagate.
+        let (net, value) = match site {
+            Site::Net(n) => {
+                let n = n as usize;
+                let excited = (self.good[n] ^ forced) & lane_mask;
+                if excited == 0 {
+                    return 0;
+                }
+                work.faults_excited += 1;
+                (n, self.good[n] ^ excited)
+            }
+            Site::Pin { gate, slot } => {
+                let (gate, slot) = (gate as usize, slot as usize);
+                let src = self.good[tape.operand(slot)];
+                let excited = (src ^ forced) & lane_mask;
+                if excited == 0 {
+                    return 0;
+                }
+                work.faults_excited += 1;
+                work.gate_evals += 1;
+                let out = tape.out(gate);
+                let value = tape.eval_forced(gate, &self.good, slot, src ^ excited);
+                if value == self.good[out] {
+                    return 0;
+                }
+                (out, value)
+            }
+            Site::DffPin(_) | Site::Inert => return 0,
+        };
+
+        let mut detected = self.set(net, value);
+        while let Some(Reverse(pos)) = self.pending.pop() {
+            let pos = pos as usize;
+            self.queued[pos] = false;
+            work.gate_evals += 1;
+            let out = tape.out(pos);
+            let value = tape.eval(pos, &self.faulty);
+            if value != self.good[out] {
+                detected |= self.set(out, value);
+            }
+        }
+        for &net in &self.touched {
+            self.faulty[net as usize] = self.good[net as usize];
+        }
+        self.touched.clear();
+        detected
+    }
+
+    /// Stores a faulty word that differs from the good one, schedules the
+    /// net's readers and returns the observed difference.
+    fn set(&mut self, net: usize, value: u64) -> u64 {
+        self.faulty[net] = value;
+        self.touched.push(net as u32);
+        for &reader in self.tape.fanout(net) {
+            if !self.queued[reader as usize] {
+                self.queued[reader as usize] = true;
+                self.pending.push(Reverse(reader));
+            }
+        }
+        if self.tape.is_observed(net) {
+            value ^ self.good[net]
+        } else {
+            0
+        }
+    }
 }
 
 /// Parallel-fault simulation for sequential circuits: lane 0 is the good
-/// machine, lanes 1..=63 carry one fault each.
-fn parallel_fault(nl: &Netlist, faults: &[Fault], vectors: &[Pattern]) -> Vec<Option<usize>> {
-    let mut first_detected: Vec<Option<usize>> = vec![None; faults.len()];
-    let mut sim = LogicSim::new(nl);
-    let pending: Vec<usize> = (0..faults.len()).collect();
+/// machine, lanes 1..=63 carry one fault each, injected through dense
+/// stuck-at masks.
+struct ParallelFault<'t> {
+    tape: &'t Tape,
+    values: Vec<u64>,
+    state: Vec<u64>,
+    /// Per-net stuck-at masks.
+    net_sa0: Vec<u64>,
+    net_sa1: Vec<u64>,
+    /// Per-operand-slot stuck-at masks.
+    pin_sa0: Vec<u64>,
+    pin_sa1: Vec<u64>,
+    /// Per-flop D-pin stuck-at masks.
+    d_sa0: Vec<u64>,
+    d_sa1: Vec<u64>,
+    /// Per gate position: some operand slot carries a fault. Only those
+    /// gates pay for the per-pin masks; evaluating every gate masked
+    /// makes sequential grading about 1.8× slower.
+    pinned: Vec<bool>,
+}
 
-    for chunk in pending.chunks(63) {
-        let mut inj = Injections::none();
-        for (slot, &fi) in chunk.iter().enumerate() {
-            inj.add(&faults[fi], 1u64 << (slot + 1));
+impl<'t> ParallelFault<'t> {
+    fn new(tape: &'t Tape) -> Self {
+        let (nets, pins, flops) = (tape.net_count(), tape.operand_count(), tape.flops.len());
+        Self {
+            tape,
+            values: vec![0; nets],
+            state: vec![0; flops],
+            net_sa0: vec![0; nets],
+            net_sa1: vec![0; nets],
+            pin_sa0: vec![0; pins],
+            pin_sa1: vec![0; pins],
+            d_sa0: vec![0; flops],
+            d_sa1: vec![0; flops],
+            pinned: vec![false; tape.gate_count()],
         }
-        let active_mask = if chunk.len() == 63 {
-            !1
-        } else {
-            ((1u64 << (chunk.len() + 1)) - 1) & !1
-        };
+    }
 
-        sim.reset();
-        let mut detected_lanes = 0u64;
-        for (t, pattern) in vectors.iter().enumerate() {
-            let outs = sim.step_broadcast(pattern, &inj);
-            let mut diff = 0u64;
-            for word in outs {
-                // Lanes differing from lane 0 (the good machine).
-                let good_broadcast = 0u64.wrapping_sub(word & 1);
-                diff |= word ^ good_broadcast;
+    /// Sets `lanes` of a site's stuck-at slot; `None` clears the slot.
+    fn inject(&mut self, site: Site, stuck: Option<bool>, lanes: u64) {
+        let (sa0, sa1, index) = match site {
+            Site::Net(n) => (&mut self.net_sa0, &mut self.net_sa1, n as usize),
+            Site::Pin { gate, slot } => {
+                self.pinned[gate as usize] = stuck.is_some();
+                (&mut self.pin_sa0, &mut self.pin_sa1, slot as usize)
             }
-            let newly = diff & active_mask & !detected_lanes;
-            if newly != 0 {
-                for (slot, &fi) in chunk.iter().enumerate() {
-                    if newly >> (slot + 1) & 1 == 1 {
-                        first_detected[fi] = Some(t);
-                    }
+            Site::DffPin(ff) => (&mut self.d_sa0, &mut self.d_sa1, ff as usize),
+            Site::Inert => return,
+        };
+        match stuck {
+            Some(true) => sa1[index] |= lanes,
+            Some(false) => sa0[index] |= lanes,
+            None => (sa0[index], sa1[index]) = (0, 0),
+        }
+    }
+
+    /// Runs the undetected faults of `sites` over one session from the
+    /// reset state; detections land at `base + t`.
+    fn run(
+        &mut self,
+        sites: &[(Site, bool)],
+        vectors: &[Pattern],
+        base: usize,
+        first: &mut [Option<usize>],
+        work: &mut Work,
+    ) {
+        let pending: Vec<usize> = (0..sites.len()).filter(|&i| first[i].is_none()).collect();
+        for chunk in pending.chunks(63) {
+            for (lane, &fi) in chunk.iter().enumerate() {
+                let (site, stuck) = sites[fi];
+                self.inject(site, Some(stuck), 1u64 << (lane + 1));
+            }
+            work.faults_excited += chunk.len() as u64;
+            let active_mask = if chunk.len() == 63 {
+                !1
+            } else {
+                ((1u64 << (chunk.len() + 1)) - 1) & !1
+            };
+            let detected = self.run_chunk(vectors, active_mask, work);
+            for (lane, &fi) in chunk.iter().enumerate() {
+                if let Some(t) = detected[lane] {
+                    first[fi] = Some(base + t);
                 }
-                detected_lanes |= newly;
-                if detected_lanes & active_mask == active_mask {
-                    break; // whole batch detected
-                }
+                self.inject(sites[fi].0, None, 0);
             }
         }
     }
-    first_detected
+
+    /// A net word under the injected stem faults.
+    #[inline]
+    fn forced(&self, net: usize, w: u64) -> u64 {
+        (w | self.net_sa1[net]) & !self.net_sa0[net]
+    }
+
+    /// Clocks one batch of injected faults through `vectors`; returns the
+    /// first detection of each fault lane (lane k + 1 at index k).
+    fn run_chunk(
+        &mut self,
+        vectors: &[Pattern],
+        active_mask: u64,
+        work: &mut Work,
+    ) -> [Option<usize>; 63] {
+        let tape = self.tape;
+        let mut first = [None; 63];
+        for (slot, flop) in self.state.iter_mut().zip(&tape.flops) {
+            *slot = flop.init;
+        }
+        let mut detected = 0u64;
+        for (t, pattern) in vectors.iter().enumerate() {
+            for &(net, w) in &tape.consts {
+                self.values[net as usize] = self.forced(net as usize, w);
+            }
+            for (flop, &w) in tape.flops.iter().zip(&self.state) {
+                self.values[flop.q as usize] = self.forced(flop.q as usize, w);
+            }
+            for (&net, &bit) in tape.inputs.iter().zip(pattern) {
+                self.values[net as usize] = self.forced(net as usize, word(bit));
+            }
+            for pos in 0..tape.gate_count() {
+                let w = if self.pinned[pos] {
+                    tape.eval_masked(pos, &self.values, &self.pin_sa0, &self.pin_sa1)
+                } else {
+                    tape.eval(pos, &self.values)
+                };
+                let out = tape.out(pos);
+                self.values[out] = self.forced(out, w);
+            }
+            work.gate_evals += tape.gate_count() as u64;
+
+            let mut diff = 0u64;
+            for &out in &tape.outputs {
+                // Lanes differing from lane 0 (the good machine).
+                let w = self.values[out as usize];
+                diff |= w ^ 0u64.wrapping_sub(w & 1);
+            }
+            let mut newly = diff & active_mask & !detected;
+            detected |= newly;
+            while newly != 0 {
+                first[newly.trailing_zeros() as usize - 1] = Some(t);
+                newly &= newly - 1;
+            }
+            if detected == active_mask {
+                break; // whole batch detected
+            }
+            for (i, flop) in tape.flops.iter().enumerate() {
+                // The D pin can itself carry a branch fault.
+                self.state[i] = (self.values[flop.d as usize] | self.d_sa1[i]) & !self.d_sa0[i];
+            }
+        }
+        first
+    }
 }
 
 #[cfg(test)]
@@ -659,6 +907,28 @@ y = OR(q, b)
                 fault.describe(&nl)
             );
         }
+    }
+
+    #[test]
+    fn work_counters_on_c17_exhaustive() {
+        let nl = parse_bench(C17, "c17").unwrap();
+        let faults = collapsed_faults(&nl);
+        let tracer = musa_trace::Tracer::new();
+        {
+            let _installed = tracer.install();
+            fault_simulate_sessions(&nl, &faults, &[exhaustive_patterns(5)]);
+        }
+        let counters = tracer.finish().unwrap().counters;
+        let count = |name| counters.iter().find(|(n, _)| *n == name).map(|&(_, v)| v);
+        let gate_evals = count("fsim_gate_evals").unwrap();
+        // One batch: every fault is excited by some of the 32 patterns.
+        assert_eq!(count("fsim_faults_excited"), Some(22));
+        // 6 good-machine gates plus 58 in the faults' live cones.
+        assert_eq!(gate_evals, 64);
+        // The full re-evaluation engine paid faults x gates x batches
+        // (plus the good machine).
+        let batches = 1;
+        assert!(gate_evals < (faults.len() * nl.gate_count() * batches) as u64);
     }
 
     #[test]

@@ -35,6 +35,7 @@ mod fault;
 mod fsim;
 mod netlist;
 mod sim;
+mod tape;
 mod testability;
 
 pub use bench::{parse_bench, write_bench, BenchError, C17};

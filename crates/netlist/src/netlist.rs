@@ -81,15 +81,22 @@ impl GateKind {
     /// Panics if `inputs` is empty.
     pub fn eval_words(self, inputs: &[u64]) -> u64 {
         assert!(!inputs.is_empty(), "gate with no inputs");
+        self.eval_iter(inputs.iter().copied())
+    }
+
+    /// Evaluates the gate over a stream of 64-pattern operand words;
+    /// NOT and BUF read only the first word.
+    #[inline]
+    pub(crate) fn eval_iter(self, mut words: impl Iterator<Item = u64>) -> u64 {
         match self {
-            GateKind::And => inputs.iter().fold(u64::MAX, |acc, &x| acc & x),
-            GateKind::Or => inputs.iter().fold(0, |acc, &x| acc | x),
-            GateKind::Nand => !inputs.iter().fold(u64::MAX, |acc, &x| acc & x),
-            GateKind::Nor => !inputs.iter().fold(0, |acc, &x| acc | x),
-            GateKind::Xor => inputs.iter().fold(0, |acc, &x| acc ^ x),
-            GateKind::Xnor => !inputs.iter().fold(0, |acc, &x| acc ^ x),
-            GateKind::Not => !inputs[0],
-            GateKind::Buf => inputs[0],
+            GateKind::And => words.fold(u64::MAX, |acc, x| acc & x),
+            GateKind::Or => words.fold(0, |acc, x| acc | x),
+            GateKind::Nand => !words.fold(u64::MAX, |acc, x| acc & x),
+            GateKind::Nor => !words.fold(0, |acc, x| acc | x),
+            GateKind::Xor => words.fold(0, |acc, x| acc ^ x),
+            GateKind::Xnor => !words.fold(0, |acc, x| acc ^ x),
+            GateKind::Not => !words.next().unwrap_or(0),
+            GateKind::Buf => words.next().unwrap_or(0),
         }
     }
 }

@@ -330,7 +330,8 @@ impl<'a> Elaborator<'a> {
         self.merge(cond, env_then, env_else, env);
     }
 
-    /// Merges two branch environments through per-bit muxes.
+    /// Merges two branch environments through per-bit muxes, in
+    /// `SymbolId` order so that net numbering is the same on every run.
     fn merge(
         &mut self,
         cond: NetId,
@@ -338,6 +339,8 @@ impl<'a> Elaborator<'a> {
         env_else: HashMap<SymbolId, Vec<NetId>>,
         env: &mut HashMap<SymbolId, Vec<NetId>>,
     ) {
+        let mut env_then: Vec<(SymbolId, Vec<NetId>)> = env_then.into_iter().collect();
+        env_then.sort_unstable_by_key(|&(sym, _)| sym);
         for (sym, then_bits) in env_then {
             // Symbols introduced inside one branch only (loop indices) are
             // dead after it; skip them.
