@@ -13,8 +13,18 @@
 //!
 //! The experiment crate's E4 ablation quantifies how the budget choice
 //! perturbs the Mutation Score.
+//!
+//! [`classify_mutants`] runs the policy on the [lane engine](crate::lanes):
+//! the mutants still unkilled before each sequence are packed 63 per
+//! simulation pass, and each lane drops out at its first kill. Most
+//! killable mutants die in the first sequence, so the later sequences
+//! re-run the few lane groups that hold the equivalent tail instead of
+//! one scalar simulation per mutant.
+//! [`classify_mutants_scalar`] keeps the one-mutant-at-a-time loop as the
+//! test oracle; the two agree class for class and error for error.
 
 use crate::execute::{reference_transcript, run_one};
+use crate::lanes::{LaneOptions, LanePlan};
 use crate::mutant::{Mutant, MutationError};
 use musa_hdl::{Bits, CheckedDesign, EntityInfo};
 use musa_prng::{Prng, SplitMix64};
@@ -79,13 +89,80 @@ impl EquivalencePolicy {
     }
 }
 
-/// Classifies every mutant of a population.
+/// Classifies every mutant of a population on the lane engine.
+///
+/// The policy's sequences (the one exhaustive sequence, or
+/// [`EquivalencePolicy::sequences`] random reset sequences) run in
+/// order. Before each, the mutants no earlier sequence killed are
+/// packed 63 per lane group into a [`LanePlan`], which stops at each
+/// mutant's first kill. A mutant killed by any sequence is
+/// [`EquivalenceClass::Killable`]; the rest take [`survivor_class`].
+/// The plan is rebuilt only after a sequence kills something, so the
+/// long equivalent tail re-runs one set of compiled tapes.
+///
+/// Results and errors are bit-identical to
+/// [`classify_mutants_scalar`], the per-mutant oracle.
+///
+/// Emits the trace counters `classify_survivors` (mutants classified)
+/// and `classify_steps` (lane steps spent here, also included in
+/// `lane_steps`).
 ///
 /// # Errors
 ///
 /// Propagates [`MutationError`] when a mutant does not belong to the
-/// design or the entity is unknown.
+/// design or the entity is unknown; the lowest-index failing mutant is
+/// reported.
 pub fn classify_mutants(
+    checked: &CheckedDesign,
+    entity: &str,
+    mutants: &[Mutant],
+    policy: &EquivalencePolicy,
+) -> Result<Vec<EquivalenceClass>, MutationError> {
+    let info = checked
+        .entity_info(entity)
+        .ok_or_else(|| MutationError::EntityNotFound(entity.to_string()))?;
+    let exhaustive = info.is_combinational() && info.input_bits() <= policy.exhaustive_limit;
+    let sequences = build_sequences(info, policy, exhaustive);
+
+    let mut killed = vec![false; mutants.len()];
+    let mut live: Vec<usize> = (0..mutants.len()).collect();
+    let mut pending = sequences.iter().peekable();
+    let mut steps = 0;
+    while !live.is_empty() && pending.peek().is_some() {
+        let subset: Vec<Mutant> = live.iter().map(|&i| mutants[i].clone()).collect();
+        let plan = LanePlan::new(checked, entity, &subset, &LaneOptions::default())?;
+        // Repacking pays only once some lanes have died.
+        for sequence in pending.by_ref() {
+            let (kills, stats) = plan.first_kills(sequence)?;
+            steps += stats.steps;
+            if kills.killed_count() > 0 {
+                for (&mi, kill) in live.iter().zip(&kills.first_kill) {
+                    killed[mi] = kill.is_some();
+                }
+                live.retain(|&mi| !killed[mi]);
+                break;
+            }
+        }
+    }
+    musa_trace::count("classify_survivors", mutants.len() as u64);
+    musa_trace::count("classify_steps", steps as u64);
+
+    let survivor = survivor_class(info, policy);
+    Ok(killed
+        .into_iter()
+        .map(|k| if k { EquivalenceClass::Killable } else { survivor })
+        .collect())
+}
+
+/// The scalar **test oracle** for [`classify_mutants`]: every mutant
+/// runs alone through [`run_one`] over each sequence until its first
+/// kill. Same classes, same errors, one simulator pass per mutant and
+/// sequence; kept only so tests can pin the lane classifier against it.
+///
+/// # Errors
+///
+/// As [`classify_mutants`].
+pub fn classify_mutants_scalar(
     checked: &CheckedDesign,
     entity: &str,
     mutants: &[Mutant],

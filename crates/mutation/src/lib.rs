@@ -53,7 +53,10 @@ mod mutant;
 mod operator;
 mod score;
 
-pub use equivalence::{classify_mutants, survivor_class, EquivalenceClass, EquivalencePolicy};
+pub use equivalence::{
+    classify_mutants, classify_mutants_scalar, survivor_class, EquivalenceClass,
+    EquivalencePolicy,
+};
 pub use execute::{
     execute_mutants, execute_mutants_engine, execute_mutants_engine_opt, execute_mutants_jobs,
     reference_transcript, run_one, Engine, KillResult, OptLevel, TestSequence,

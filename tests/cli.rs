@@ -367,19 +367,27 @@ fn bench_baseline_round_trip_gates_on_invariants() {
     let baseline = dir.join("BENCH_1.json");
 
     // Capture a quick c17 report and use it as its own baseline: an
-    // unchanged tree must exit 0.
+    // unchanged tree has no invariant finding. Only invariant findings
+    // are checked: the engine and optimizer ratios are wall-time
+    // quotients that parallel test load can halve between two runs
+    // (`bench_baseline_ratio_regression_exits_1` covers that gate).
     let report = stdout_of(&["bench", "--quick", "--json", "--filter", "c17", "--seed", "7"]);
     std::fs::write(&baseline, &report).unwrap();
     let clean = musa(&[
         "bench", "--quick", "--filter", "c17", "--seed", "7",
         "--baseline", baseline.to_str().unwrap(),
     ]);
-    assert_eq!(clean.status.code(), Some(0), "{:?}", clean);
-    assert!(
-        String::from_utf8_lossy(&clean.stderr).contains("baseline check"),
-        "stderr: {}",
-        String::from_utf8_lossy(&clean.stderr)
-    );
+    let stderr = String::from_utf8_lossy(&clean.stderr);
+    let drift: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("regression:") && !l.contains("speedup ratio fell"))
+        .collect();
+    assert_eq!(drift, Vec::<&str>::new(), "stderr: {stderr}");
+    match clean.status.code() {
+        Some(0) => assert!(stderr.contains("baseline check"), "stderr: {stderr}"),
+        Some(1) => assert!(stderr.contains("regression(s) against the baseline"), "{stderr}"),
+        other => panic!("exit {other:?}: {clean:?}"),
+    }
 
     // A synthetically regressed baseline (tampered invariant) must
     // exit 1 and name the drifted field.
@@ -403,6 +411,43 @@ fn bench_baseline_round_trip_gates_on_invariants() {
     assert!(stderr.contains("regression:"), "stderr: {stderr}");
     assert!(stderr.contains("invariant `population` changed"), "stderr: {stderr}");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn bench_baseline_ratio_regression_exits_1() {
+    // A synthetic c432 baseline, cut from a real c17 report, whose
+    // single-thread scalar/lanes ratio is 10^6, far above anything a
+    // real run reaches, with no invariants and every other median under
+    // the gate floor: the binary's engine-ratio gate is then the only
+    // one that can fire. c432's cells stay well above the 5 ms floor in
+    // the test profile.
+    use musa::core::{BenchReport, CellInvariants};
+    let template = stdout_of(&["bench", "--quick", "--json", "--filter", "c17", "--seed", "7"]);
+    let mut synthetic = BenchReport::from_json(&template).unwrap();
+    for cell in &mut synthetic.cells {
+        cell.bench = "c432".to_string();
+        cell.invariants = CellInvariants::default();
+        cell.wall.median = match cell.id().as_str() {
+            "mutant_exec/c432/scalar/jobs=1" => 1e13,
+            "mutant_exec/c432/lanes-opt/jobs=1" => 1e7,
+            _ => 0.0,
+        };
+    }
+    let path = std::env::temp_dir().join(format!("musa-cli-ratio-{}.json", std::process::id()));
+    std::fs::write(&path, synthetic.to_json()).unwrap();
+    let out = musa(&[
+        "bench", "--quick", "--filter", "c432", "--seed", "7",
+        "--baseline", path.to_str().unwrap(),
+    ]);
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let findings: Vec<&str> = stderr.lines().filter(|l| l.starts_with("regression:")).collect();
+    assert_eq!(findings.len(), 1, "stderr: {stderr}");
+    assert!(
+        findings[0].contains("mutant_exec/c432/jobs=1: scalar/lanes speedup ratio fell"),
+        "stderr: {stderr}"
+    );
 }
 
 // ---------------------------------------------------------------------
