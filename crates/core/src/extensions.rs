@@ -15,13 +15,12 @@
 use crate::config::ExperimentConfig;
 use crate::data::{coverage_of_sessions, fault_universe, random_baseline_curve};
 use crate::experiment::{
-    classify_survivors, kills_over_sessions, run_sampling_experiment_on, SamplingOutcome,
+    classify_once, kills_over_sessions, population_plan, run_sampling_experiment_on,
+    score_from_memo, SamplingOutcome,
 };
 use crate::tables::TableError;
 use musa_circuits::{Benchmark, Circuit};
-use musa_mutation::{
-    generate_mutants, EquivalencePolicy, GenerateOptions, MutationScore,
-};
+use musa_mutation::{generate_mutants, EquivalencePolicy, GenerateOptions, MutationScore};
 use musa_netlist::{fault_simulate_sessions, Fault, Pattern};
 use musa_prng::{Prng, SplitMix64};
 use musa_testgen::{
@@ -373,25 +372,24 @@ pub fn equivalence_ablation(
     // The ablation varies the *classification budget*; screening would
     // remove exactly the mutants whose class the budget decides, so the
     // whole population runs unscreened here.
+    let plan = population_plan(&circuit, &population, config)?;
     let kills = kills_over_sessions(
         &circuit,
         &population,
+        plan.as_ref(),
         &generated.sessions,
         config.jobs,
-        config.engine,
-        config.opt,
         None,
     )?;
 
     let mut points = Vec::with_capacity(budgets.len());
     for &budget in budgets {
-        let mut cfg = *config;
-        cfg.equivalence = EquivalencePolicy {
+        let policy = EquivalencePolicy {
             budget,
             ..config.equivalence
         };
-        let classes = classify_survivors(&circuit, &population, &kills, &cfg, None)?;
-        let score = MutationScore::from_results(&kills, &classes);
+        let memo = classify_once(&circuit, &population, [&kills], &policy, None, config.jobs)?;
+        let score = score_from_memo(&kills, &memo);
         points.push(AblationPoint {
             budget,
             equivalent: score.equivalent,

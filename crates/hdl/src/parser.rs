@@ -35,6 +35,7 @@ use crate::ast::*;
 use crate::error::{HdlError, Result};
 use crate::lexer::{lex, Tok, Token};
 use crate::span::Span;
+use std::ops::RangeInclusive;
 
 /// Reserved words that cannot be used as names.
 pub const KEYWORDS: &[&str] = &[
@@ -176,12 +177,17 @@ impl Parser {
         }
     }
 
-    fn small_int(&mut self, what: &str) -> Result<u32> {
+    /// An integer literal in `range`; an out-of-range value is reported
+    /// at the literal itself.
+    fn small_int(&mut self, what: &str, range: RangeInclusive<u32>) -> Result<u32> {
         let (v, span) = self.int()?;
         u32::try_from(v)
             .ok()
-            .filter(|&v| v <= 64)
-            .ok_or_else(|| HdlError::parse(format!("{what} {v} out of range (0..=64)"), span))
+            .filter(|v| range.contains(v))
+            .ok_or_else(|| {
+                let (lo, hi) = (range.start(), range.end());
+                HdlError::parse(format!("{what} {v} out of range ({lo}..={hi})"), span)
+            })
     }
 
     // ---- declarations -------------------------------------------------
@@ -205,10 +211,7 @@ impl Parser {
             Ok(1)
         } else if self.eat_kw("bits") {
             self.expect(Tok::LParen)?;
-            let w = self.small_int("width")?;
-            if w == 0 {
-                return Err(HdlError::parse("width must be at least 1", self.peek().span));
-            }
+            let w = self.small_int("width", 1..=64)?;
             self.expect(Tok::RParen)?;
             Ok(w)
         } else {
@@ -446,7 +449,7 @@ impl Parser {
                 self.bump();
                 if self.peek().tok == Tok::Colon {
                     self.bump();
-                    let lo = self.small_int("slice bound")?;
+                    let lo = self.small_int("slice bound", 0..=64)?;
                     self.expect(Tok::RBracket)?;
                     let hi = u32::try_from(hi).map_err(|_| {
                         HdlError::parse("slice bound out of range", self.peek().span)
@@ -688,7 +691,7 @@ impl Parser {
             };
             let id = self.fresh();
             self.bump();
-            let amount = self.small_int("shift amount")?;
+            let amount = self.small_int("shift amount", 0..=64)?;
             arg = Expr::Shift {
                 id,
                 op,
@@ -723,7 +726,7 @@ impl Parser {
                 self.bump();
                 if self.peek().tok == Tok::Colon {
                     self.bump();
-                    let lo = self.small_int("slice bound")?;
+                    let lo = self.small_int("slice bound", 0..=64)?;
                     self.expect(Tok::RBracket)?;
                     let hi = u32::try_from(hi).map_err(|_| {
                         HdlError::parse("slice bound out of range", self.peek().span)
@@ -1043,6 +1046,35 @@ mod tests {
              end;"
         )
         .is_err());
+    }
+
+    #[test]
+    fn width_errors_name_the_valid_range_at_the_literal() {
+        for (src, literal) in [
+            ("entity e is port(a : in bits(65); y : out bit); end;", "65"),
+            ("entity e is port(a : in bits(0); y : out bit); end;", "0"),
+        ] {
+            let err = parse(src).unwrap_err();
+            assert_eq!(
+                err.message,
+                format!("width {literal} out of range (1..=64)"),
+                "{src}"
+            );
+            let at = src.find(&format!("({literal})")).unwrap() + 1;
+            assert_eq!(
+                err.span.line_col(src),
+                (1, at as u32 + 1),
+                "{src}: points at the literal"
+            );
+        }
+        // Shift amounts keep 0 as a legal value.
+        let err = parse(
+            "entity e is port(a : in bits(4); y : out bits(4));
+             comb begin y <= a sll 65; end;
+             end;",
+        )
+        .unwrap_err();
+        assert_eq!(err.message, "shift amount 65 out of range (0..=64)");
     }
 
     #[test]

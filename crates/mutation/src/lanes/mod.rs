@@ -103,16 +103,22 @@ pub struct LaneStats {
     /// superinstruction fusion — what each step actually evaluates. At
     /// [`OptLevel::Off`] this equals `instrs_before`.
     pub instrs_after: usize,
+    /// Live mutant lanes at the start of each executed pass, summed (a
+    /// scalar-fallback pass carries its one mutant). Lane occupancy is
+    /// `live_lanes / (MAX_LANES × passes)`.
+    pub live_lanes: usize,
 }
 
 impl LaneStats {
     /// Publishes the totals into the installed tracer's counter
-    /// registry (`lane_passes` / `lane_steps`); a no-op when tracing is
-    /// off. Called once per execution, after the per-group merge, so
-    /// the counters always equal the returned stats exactly.
+    /// registry (`lane_passes` / `lane_steps` / `lane_live_lanes`); a
+    /// no-op when tracing is off. Called once per execution, after the
+    /// per-group merge, so the counters always equal the returned stats
+    /// exactly.
     fn emit(self) {
         musa_trace::count("lane_passes", self.passes as u64);
         musa_trace::count("lane_steps", self.steps as u64);
+        musa_trace::count("lane_live_lanes", self.live_lanes as u64);
     }
 
     /// Folds one group's counters into the execution totals.
@@ -121,6 +127,7 @@ impl LaneStats {
         self.steps += group.steps;
         self.instrs_before += group.instrs_before;
         self.instrs_after += group.instrs_after;
+        self.live_lanes += group.live_lanes;
     }
 }
 
@@ -190,6 +197,10 @@ pub fn kill_rows_lanes(
 /// * each group's mutant-folded tape is compiled **once per plan** and
 ///   re-run per sequence (compile-time cycle splitting included), so a
 ///   pool of `P` candidate sequences costs one compile instead of `P`.
+///
+/// [`LanePlan::first_kills_live`] runs any live subset of the population
+/// on the same tapes, so a kill pass over several sessions compiles once
+/// instead of once per session.
 ///
 /// Results are bit-identical to the one-shot entry points for every
 /// sequence, lane count and job count.
@@ -299,9 +310,37 @@ impl<'a> LanePlan<'a> {
         &self,
         sequence: &[Vec<Bits>],
     ) -> Result<(KillResult, LaneStats), MutationError> {
-        let reference = self.reference_if_needed(sequence)?;
-        let per_group = try_shard(self.jobs, self.groups.len(), |i| {
-            self.run_first_kill(&self.groups[i], sequence, reference.as_deref())
+        self.first_kills_live(sequence, &vec![true; self.mutants.len()], self.jobs)
+    }
+
+    /// First killing vector of every **live** mutant (`live[i]` for
+    /// mutant `i`), with the groups sharded across `jobs` worker
+    /// threads. A masked mutant never enters its group's alive set and
+    /// reports `None`. A group with no live lane is skipped (no reset,
+    /// no pass counted), and a scalar fallback runs only for a live
+    /// mutant. Lanes never interact, so every live mutant's kill equals
+    /// what [`LanePlan::first_kills`] on a plan of the live subset alone
+    /// reports.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`MutationError`] exactly as the scalar engine does on
+    /// the live subset: the lowest-index failing live mutant is
+    /// reported.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `live` does not have one flag per mutant.
+    pub fn first_kills_live(
+        &self,
+        sequence: &[Vec<Bits>],
+        live: &[bool],
+        jobs: usize,
+    ) -> Result<(KillResult, LaneStats), MutationError> {
+        assert_eq!(live.len(), self.mutants.len(), "one live flag per mutant");
+        let reference = self.reference_if_needed(sequence, live)?;
+        let per_group = try_shard(jobs, self.groups.len(), |i| {
+            self.run_first_kill(&self.groups[i], sequence, reference.as_deref(), live)
         })?;
         let mut first_kill = Vec::with_capacity(self.mutants.len());
         let mut stats = LaneStats::default();
@@ -325,7 +364,7 @@ impl<'a> LanePlan<'a> {
         &self,
         sequence: &[Vec<Bits>],
     ) -> Result<(Vec<Vec<bool>>, LaneStats), MutationError> {
-        let reference = self.reference_if_needed(sequence)?;
+        let reference = self.reference_if_needed(sequence, &vec![true; self.mutants.len()])?;
         let per_group = try_shard(self.jobs, self.groups.len(), |i| {
             self.run_rows(&self.groups[i], sequence, reference.as_deref())
         })?;
@@ -340,15 +379,17 @@ impl<'a> LanePlan<'a> {
     }
 
     /// The scalar reference transcript, computed **once per sequence**
-    /// and shared by every group that needs a scalar fallback (the old
-    /// per-group path recomputed it in each such group).
+    /// and shared by every group that runs a live scalar fallback.
     fn reference_if_needed(
         &self,
         sequence: &[Vec<Bits>],
+        live: &[bool],
     ) -> Result<Option<Vec<Vec<Bits>>>, MutationError> {
         let needed = self.groups.iter().any(|g| match g {
-            PlanGroup::Tape { compiled, .. } => !compiled.fallback.is_empty(),
-            PlanGroup::ScalarOne { .. } => true,
+            PlanGroup::Tape { compiled, start, .. } => {
+                compiled.fallback.iter().any(|&slot| live[start + slot])
+            }
+            PlanGroup::ScalarOne { slot } => live[*slot],
         });
         if !needed {
             return Ok(None);
@@ -361,31 +402,36 @@ impl<'a> LanePlan<'a> {
         group: &PlanGroup,
         sequence: &[Vec<Bits>],
         reference: Option<&[Vec<Bits>]>,
+        live: &[bool],
     ) -> Result<(Vec<Option<usize>>, LaneStats), MutationError> {
         match group {
+            PlanGroup::ScalarOne { slot } if !live[*slot] => Ok((vec![None], LaneStats::default())),
             PlanGroup::ScalarOne { slot } => {
                 let _trace = musa_trace::span("scalar_fallback");
                 let reference = reference.expect("scalar groups force a reference");
                 let kill =
                     run_one(self.checked, &self.entity, &self.mutants[*slot], sequence, reference)?;
                 let steps = kill.map_or(sequence.len(), |t| t + 1);
-                Ok((vec![kill], LaneStats { passes: 1, steps, ..LaneStats::default() }))
+                let stats = LaneStats { passes: 1, steps, live_lanes: 1, ..LaneStats::default() };
+                Ok((vec![kill], stats))
             }
             PlanGroup::Tape { compiled, start, len } => {
-                let mut fallback_mask = 0u64;
-                for &slot in &compiled.fallback {
-                    fallback_mask |= 1u64 << (slot + 1);
-                }
-                let mut sim = GroupSim::new(compiled, *len);
-                let mut stats = LaneStats {
-                    passes: 1,
-                    instrs_before: compiled.instrs_before,
-                    instrs_after: compiled.instrs_after,
-                    ..LaneStats::default()
-                };
+                let live = &live[*start..start + len];
                 let mut first_kill = vec![None; *len];
-                let mut alive = sim.used_mask & !fallback_mask;
-                {
+                let mut stats = LaneStats::default();
+                // Lane `slot + 1` carries mutant `start + slot`; lane 0
+                // is the reference machine.
+                let mut alive = live
+                    .iter()
+                    .enumerate()
+                    .filter(|&(slot, &l)| l && !compiled.fallback.contains(&slot))
+                    .fold(0u64, |mask, (slot, _)| mask | 1u64 << (slot + 1));
+                if alive != 0 {
+                    let mut sim = GroupSim::new(compiled, *len);
+                    stats.passes = 1;
+                    stats.instrs_before = compiled.instrs_before;
+                    stats.instrs_after = compiled.instrs_after;
+                    stats.live_lanes = alive.count_ones() as usize;
                     let _trace = musa_trace::span("lane_interpret");
                     sim.reset();
                     for (t, vector) in sequence.iter().enumerate() {
@@ -404,9 +450,11 @@ impl<'a> LanePlan<'a> {
                         alive &= !newly;
                     }
                 }
-                if !compiled.fallback.is_empty() {
+                let fallbacks: Vec<usize> =
+                    compiled.fallback.iter().copied().filter(|&slot| live[slot]).collect();
+                if !fallbacks.is_empty() {
                     let _trace = musa_trace::span("scalar_fallback");
-                    for &slot in &compiled.fallback {
+                    for slot in fallbacks {
                         let reference = reference.expect("fallbacks force a reference");
                         let kill = run_one(
                             self.checked,
@@ -417,6 +465,7 @@ impl<'a> LanePlan<'a> {
                         )?;
                         stats.passes += 1;
                         stats.steps += kill.map_or(sequence.len(), |t| t + 1);
+                        stats.live_lanes += 1;
                         first_kill[slot] = kill;
                     }
                 }
@@ -434,8 +483,12 @@ impl<'a> LanePlan<'a> {
         match group {
             PlanGroup::ScalarOne { slot } => {
                 let _trace = musa_trace::span("scalar_fallback");
-                let stats =
-                    LaneStats { passes: 1, steps: sequence.len(), ..LaneStats::default() };
+                let stats = LaneStats {
+                    passes: 1,
+                    steps: sequence.len(),
+                    live_lanes: 1,
+                    ..LaneStats::default()
+                };
                 let reference = reference.expect("scalar groups force a reference");
                 let row =
                     scalar_row(self.checked, &self.entity, &self.mutants[*slot], sequence, reference)?;
@@ -447,6 +500,7 @@ impl<'a> LanePlan<'a> {
                     passes: 1,
                     instrs_before: compiled.instrs_before,
                     instrs_after: compiled.instrs_after,
+                    live_lanes: len - compiled.fallback.len(),
                     ..LaneStats::default()
                 };
                 let mut rows = vec![vec![false; sequence.len()]; *len];
@@ -474,6 +528,7 @@ impl<'a> LanePlan<'a> {
                         )?;
                         stats.passes += 1;
                         stats.steps += sequence.len();
+                        stats.live_lanes += 1;
                     }
                 }
                 Ok((rows, stats))

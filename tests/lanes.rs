@@ -215,3 +215,65 @@ proptest! {
         prop_assert_eq!(stats.passes, 1, "10 mutants fit one pass");
     }
 }
+
+/// The masks every live-mask check runs: all dead, all live, one live
+/// lane, the first whole lane group dead, and fixed-seed random masks
+/// of high and low density.
+fn live_masks(n: usize, lanes: usize, seed: u64) -> Vec<(String, Vec<bool>)> {
+    let mut rng = SplitMix64::new(seed);
+    let mut masks = vec![
+        ("all dead".to_string(), vec![false; n]),
+        ("all live".to_string(), vec![true; n]),
+        ("one live lane".to_string(), (0..n).map(|i| i == n / 2).collect()),
+        ("first group dead".to_string(), (0..n).map(|i| i >= lanes).collect()),
+    ];
+    for (k, one_in) in [2u64, 7].into_iter().enumerate() {
+        let mask = (0..n).map(|_| rng.below(one_in) == 0).collect();
+        masks.push((format!("random #{k} (1 in {one_in} live)"), mask));
+    }
+    masks
+}
+
+/// Live-mask execution on a plan of the whole population equals a
+/// plan compiled on the live subset alone, mapped back, with every
+/// masked mutant reading `None`; only groups holding a live mutant cost
+/// a pass.
+#[test]
+fn live_mask_execution_matches_the_compacted_live_subset() {
+    for (circuit, population) in circuits() {
+        let mutants = subsample(population, 100);
+        let n = mutants.len();
+        let sequence = random_sequence_for(circuit, 12, 0x11FE ^ n as u64);
+        for lanes_per_pass in [1, 2, 63] {
+            for jobs in [1, 2] {
+                let options = LaneOptions { lanes_per_pass, jobs, ..LaneOptions::default() };
+                let plan =
+                    LanePlan::new(&circuit.checked, &circuit.name, &mutants, &options).unwrap();
+                assert_eq!(plan.group_count(), n.div_ceil(lanes_per_pass), "{}", circuit.name);
+                for (what, live) in live_masks(n, lanes_per_pass, n as u64) {
+                    let at =
+                        format!("{}: {what}, lanes={lanes_per_pass} jobs={jobs}", circuit.name);
+                    let (masked, stats) =
+                        plan.first_kills_live(&sequence, &live, jobs).unwrap();
+                    let indices: Vec<usize> = (0..n).filter(|&i| live[i]).collect();
+                    let subset: Vec<Mutant> =
+                        indices.iter().map(|&i| mutants[i].clone()).collect();
+                    let (compact, _) =
+                        LanePlan::new(&circuit.checked, &circuit.name, &subset, &options)
+                            .unwrap()
+                            .first_kills(&sequence)
+                            .unwrap();
+                    let mut expected = vec![None; n];
+                    for (&mi, kill) in indices.iter().zip(&compact.first_kill) {
+                        expected[mi] = *kill;
+                    }
+                    assert_eq!(masked.first_kill, expected, "{at}");
+                    let live_groups =
+                        live.chunks(lanes_per_pass).filter(|g| g.contains(&true)).count();
+                    assert_eq!(stats.passes, live_groups, "{at}: dead groups cost no pass");
+                    assert_eq!(stats.live_lanes, indices.len(), "{at}: live lanes");
+                }
+            }
+        }
+    }
+}

@@ -8,9 +8,16 @@ use musa::core::{
     trace_json_with, validate_trace_document, Campaign, ExperimentConfig, ReportData, Task,
     DEFAULT_SEED,
 };
-use musa::mutation::{execute_mutants_lanes_opts, generate_mutants, GenerateOptions, LaneOptions};
-use musa::testgen::random_sequence;
-use musa::trace::{TraceData, Tracer};
+use musa::analysis::screen_population;
+use musa::mutation::{
+    execute_mutants_lanes, execute_mutants_lanes_opts, generate_mutants, GenerateOptions,
+    LaneOptions,
+};
+use musa::prng::{Prng, SplitMix64};
+use musa::testgen::{
+    mutation_guided_tests, random_sequence, sample_mutants, MgConfig, SamplingStrategy,
+};
+use musa::trace::{SpanRecord, TraceData, Tracer};
 use std::process::{Command, Output};
 
 fn musa_bin(args: &[&str]) -> Output {
@@ -39,8 +46,12 @@ fn one_rep_config() -> ExperimentConfig {
 }
 
 fn traced_sampling(bench: &str) -> (musa::core::Report, TraceData) {
+    traced_sampling_with(bench, one_rep_config())
+}
+
+fn traced_sampling_with(bench: &str, config: ExperimentConfig) -> (musa::core::Report, TraceData) {
     let report = Campaign::named(bench)
-        .config(one_rep_config())
+        .config(config)
         .trace(true)
         .task(Task::Sampling { fraction: 0.10 })
         .run()
@@ -100,6 +111,91 @@ fn sampling_counters_equal_outcome_fields() {
             "{bench}: screened"
         );
     }
+}
+
+/// The mutants that survive some repetition's data and are not
+/// statically screened, counted from the public layers alone: the same
+/// seed schedule, sample and data as the sampling experiment, each
+/// session run on the whole population (a mutant survives a repetition
+/// when no session kills it).
+fn distinct_unscreened_survivors(bench: Benchmark, config: &ExperimentConfig) -> usize {
+    let circuit = bench.load().unwrap();
+    let population = generate_mutants(&circuit.checked, &circuit.name, &GenerateOptions::default());
+    let screened = screen_population(&circuit.checked, &circuit.name, &population);
+    let mut survives = vec![false; population.len()];
+    let mut seeder = SplitMix64::new(config.seed ^ 0xA5A5_5A5A_1234_4321);
+    for _ in 0..config.repetitions {
+        let [sample, mg, _baseline] = [seeder.next_u64(), seeder.next_u64(), seeder.next_u64()];
+        let selected = sample_mutants(&population, &SamplingStrategy::random(0.10), sample);
+        let subset: Vec<_> = selected.iter().map(|&i| population[i].clone()).collect();
+        let mg = MgConfig { seed: mg, ..config.mg };
+        let data = mutation_guided_tests(&circuit.checked, &circuit.name, &subset, &mg).unwrap();
+        let mut killed = vec![false; population.len()];
+        for session in &data.sessions {
+            let kills =
+                execute_mutants_lanes(&circuit.checked, &circuit.name, &population, session)
+                    .unwrap();
+            for (k, kill) in killed.iter_mut().zip(&kills.first_kill) {
+                *k |= kill.is_some();
+            }
+        }
+        for (s, k) in survives.iter_mut().zip(killed) {
+            *s |= !k;
+        }
+    }
+    (0..population.len())
+        .filter(|&i| survives[i] && !screened[i].is_proven())
+        .count()
+}
+
+/// Names of a span's ancestors, innermost first. A context's top-level
+/// span has its parent in the forking context, two path elements up.
+fn ancestors<'t>(data: &'t TraceData, span: &'t SpanRecord) -> Vec<&'static str> {
+    let mut names = Vec::new();
+    let mut current = span;
+    while let Some(parent_seq) = current.parent_seq {
+        let path = if current.depth > 0 {
+            &current.path[..]
+        } else {
+            &current.path[..current.path.len() - 2]
+        };
+        current = data
+            .spans
+            .iter()
+            .find(|s| s.path == path && s.seq == parent_seq)
+            .expect("every parent link resolves");
+        names.push(current.name);
+    }
+    names
+}
+
+#[test]
+fn classification_and_kill_pass_compiles_do_not_grow_with_repetitions() {
+    let mut kill_pass_compiles = Vec::new();
+    for repetitions in [1, 3] {
+        let config = ExperimentConfig {
+            repetitions,
+            ..one_rep_config()
+        };
+        let (_, data) = traced_sampling_with("c432", config);
+        assert_eq!(
+            counter(&data, "classify_survivors"),
+            distinct_unscreened_survivors(Benchmark::C432, &config) as u64,
+            "{repetitions} repetitions: each distinct survivor is classified once"
+        );
+        kill_pass_compiles.push(
+            data.spans
+                .iter()
+                .filter(|s| s.name == "lane_compile")
+                .filter(|s| ancestors(&data, s).contains(&"mutant_exec"))
+                .count(),
+        );
+    }
+    assert!(kill_pass_compiles[0] > 0, "the kill pass compiles its plan");
+    assert_eq!(
+        kill_pass_compiles[0], kill_pass_compiles[1],
+        "kill-pass lane groups are compiled once per call, not per repetition"
+    );
 }
 
 // ---------------------------------------------------------------------
